@@ -202,11 +202,7 @@ pub fn decode_client(
             Ok(ClientMsg::Hello { tenant, cores, techniques })
         }
         MSG_INTERVAL => {
-            let iv = decode_interval_payload(&frame.payload, max_cores)?;
-            if iv.events.len() > max_events {
-                return Err(TraceError::BadSection { section: "INTERVAL" });
-            }
-            Ok(ClientMsg::Interval(iv))
+            Ok(ClientMsg::Interval(decode_interval_payload(&frame.payload, max_cores, max_events)?))
         }
         MSG_FINISH => {
             if frame.payload.is_empty() {

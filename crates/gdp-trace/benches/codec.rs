@@ -1,9 +1,12 @@
-//! Microbenchmarks for trace decode and replay throughput.
+//! Microbenchmarks for the trace codec kernels and replay throughput.
 //!
-//! Run with `cargo bench -p gdp-trace`. The headline figures are
-//! events/second for decoding a shared trace and for replaying a GDP +
-//! GDP-O estimator pair over it — the two costs a warm-cache campaign
-//! pays instead of cycle-level simulation.
+//! Run with `cargo bench -p gdp-trace --bench codec`. The headline
+//! figures are events/second for decoding a shared trace and for
+//! replaying a GDP + GDP-O estimator pair over it — the two costs a
+//! warm-cache campaign pays instead of cycle-level simulation — plus the
+//! two kernels under them: CRC-32 over 1 MiB (every file section and
+//! stream frame) and reassembling a stream of interval frames (the serve
+//! receive path).
 
 use std::time::Duration;
 
@@ -14,8 +17,10 @@ use gdp_sim::mem::Interference;
 use gdp_sim::probe::{ProbeEvent, StallCause};
 use gdp_sim::stats::CoreStats;
 use gdp_sim::types::{CoreId, ReqId};
+use gdp_trace::codec::crc32;
 use gdp_trace::{
-    decode_shared, encode_shared, replay_estimates, Boundary, SharedTrace, TraceInterval,
+    decode_shared, encode_frame, encode_interval_payload, encode_shared, replay_estimates,
+    Boundary, FrameAssembler, SharedTrace, TraceInterval,
 };
 
 /// A synthetic but realistically-shaped trace: `intervals` intervals of
@@ -123,6 +128,30 @@ fn bench_codec(c: &mut Criterion) {
     });
     c.bench_function(&format!("decode_shared/{events}_events"), |b| {
         b.iter(|| black_box(decode_shared(black_box(&bytes)).expect("decodes")))
+    });
+    let mib: Vec<u8> =
+        (0..1u32 << 20).map(|i| (i.wrapping_mul(2_654_435_761) >> 24) as u8).collect();
+    c.bench_function("crc32/1MiB", |b| b.iter(|| black_box(crc32(black_box(&mib)))));
+    let stream: Vec<u8> = trace
+        .intervals
+        .iter()
+        .flat_map(|iv| encode_frame(2, &encode_interval_payload(iv)))
+        .collect();
+    let n_frames = trace.intervals.len();
+    c.bench_function(&format!("frame_assemble/{n_frames}_frames"), |b| {
+        b.iter(|| {
+            let mut asm = FrameAssembler::new();
+            let mut n = 0;
+            // Arrive in 64 KiB reads, as from a socket.
+            for chunk in black_box(&stream).chunks(64 << 10) {
+                asm.push(chunk);
+                while let Some(f) = asm.next_frame().expect("clean stream") {
+                    n += black_box(f).payload.len();
+                }
+            }
+            assert_eq!(asm.buffered(), 0);
+            n
+        })
     });
     c.bench_function(&format!("replay_gdp_gdpo/{events}_events"), |b| {
         b.iter_batched(

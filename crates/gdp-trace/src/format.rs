@@ -22,7 +22,7 @@ use gdp_sim::probe::{ProbeEvent, StallCause};
 use gdp_sim::stats::CoreStats;
 use gdp_sim::types::{CoreId, ReqId};
 
-use crate::codec::{crc32, Reader, TraceError, Writer};
+use crate::codec::{crc32, Reader, TraceError, Writer, MAX_VARINT_LEN};
 use crate::model::{
     Boundary, CheckpointFile, PrivateTrace, SharedTrace, StateCheckpoint, TraceCheckpoint,
     TraceInterval,
@@ -49,13 +49,33 @@ const SEC_STATE: u8 = 5;
 
 // ------------------------------------------------------------- encoding
 
-fn write_section(out: &mut Writer, tag: u8, payload: Writer) {
-    let bytes = payload.into_bytes();
+/// Bytes of the header every file starts with: magic, version, kind.
+const HEADER_LEN: usize = 13;
+/// Section framing around a payload: tag, longest length varint, CRC.
+const SECTION_OVERHEAD: usize = 1 + MAX_VARINT_LEN + 4;
+/// Encoded-size estimates for sizing buffers up front (the Fig. 3
+/// campaign's shared traces take 10.8–15.9 B per event and 46–52 B per
+/// boundary). Only the allocation depends on them: an underestimate
+/// costs a regrowth, an overestimate untouched capacity, and the bytes
+/// are the same.
+const EVENT_SIZE_HINT: usize = 18;
+const STATS_SIZE_HINT: usize = 48;
+const BOUNDARY_SIZE_HINT: usize = 8 + STATS_SIZE_HINT + 16;
+
+/// Append one section, encoding its payload in place behind the tag.
+fn write_section(out: &mut Writer, tag: u8, size_hint: usize, payload: impl FnOnce(&mut Writer)) {
     out.u8(tag);
-    out.varint(bytes.len() as u64);
-    let crc = crc32(&bytes);
-    out.bytes(&bytes);
+    let body = out.len_prefixed(size_hint, payload);
+    let crc = crc32(&out.as_bytes()[body]);
     out.u32_le(crc);
+}
+
+fn header(kind: u8, size_hint: usize) -> Writer {
+    let mut out = Writer::with_capacity(HEADER_LEN + size_hint);
+    out.bytes(MAGIC);
+    out.u32_le(FORMAT_VERSION);
+    out.u8(kind);
+    out
 }
 
 /// Encode one [`CoreStats`] record (16 varints, fixed field order).
@@ -343,6 +363,24 @@ fn decode_event(r: &mut Reader<'_>, prev: &mut u64) -> Result<ProbeEvent, TraceE
     }
 }
 
+/// Bytes of the smallest event (an `IntervalEnd`: tag and delta).
+const MIN_EVENT_LEN: usize = 2;
+
+/// Decode `n` consecutive events. The allocation is bounded by the bytes
+/// left as well as by `n`, so a corrupt count cannot reserve more than
+/// the buffer could hold.
+fn decode_events(
+    r: &mut Reader<'_>,
+    n: usize,
+    prev: &mut u64,
+) -> Result<Vec<ProbeEvent>, TraceError> {
+    let mut events = Vec::with_capacity(n.min(r.remaining() / MIN_EVENT_LEN).min(1 << 22));
+    for _ in 0..n {
+        events.push(decode_event(r, prev)?);
+    }
+    Ok(events)
+}
+
 /// Encode one [`Boundary`] record (instruction window, stats delta,
 /// exact λ̂ and shared-latency bits). Public for the serve wire protocol.
 pub fn encode_boundary(w: &mut Writer, b: &Boundary) {
@@ -370,7 +408,7 @@ pub fn decode_boundary(r: &mut Reader<'_>) -> Result<Boundary, TraceError> {
 /// running base — a stream frame must decode without its predecessors)
 /// followed by the per-core boundary records.
 pub fn encode_interval_payload(iv: &TraceInterval) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut w = Writer::with_capacity(interval_size_hint(iv));
     w.varint(iv.events.len() as u64);
     let mut prev = 0u64;
     for ev in &iv.events {
@@ -383,20 +421,28 @@ pub fn encode_interval_payload(iv: &TraceInterval) -> Vec<u8> {
     w.into_bytes()
 }
 
+fn interval_size_hint(iv: &TraceInterval) -> usize {
+    2 * MAX_VARINT_LEN
+        + iv.events.len() * EVENT_SIZE_HINT
+        + iv.boundaries.len() * BOUNDARY_SIZE_HINT
+}
+
 /// Decode one self-contained interval payload (inverse of
 /// [`encode_interval_payload`]); strict — every byte accounted for,
-/// instruction windows non-negative, at most `max_cores` boundaries.
+/// instruction windows non-negative, at most `max_cores` boundaries and
+/// `max_events` events. The event count is checked before anything is
+/// allocated for it, so a hostile count costs nothing.
 pub fn decode_interval_payload(
     bytes: &[u8],
     max_cores: usize,
+    max_events: usize,
 ) -> Result<TraceInterval, TraceError> {
     let mut r = Reader::new(bytes);
-    let n_events = r.varint()? as usize;
-    let mut events = Vec::with_capacity(n_events.min(1 << 22));
-    let mut prev = 0u64;
-    for _ in 0..n_events {
-        events.push(decode_event(&mut r, &mut prev)?);
+    let n_events = r.varint()?;
+    if n_events > max_events as u64 {
+        return Err(TraceError::BadSection { section: "INTERVAL" });
     }
+    let events = decode_events(&mut r, n_events as usize, &mut 0)?;
     let n_bounds = r.varint()? as usize;
     if n_bounds > max_cores {
         return Err(TraceError::BadSection { section: "INTERVAL" });
@@ -415,64 +461,64 @@ pub fn decode_interval_payload(
 
 /// Encode a shared-mode trace to bytes.
 pub fn encode_shared(t: &SharedTrace) -> Vec<u8> {
-    let mut out = Writer::new();
-    out.bytes(MAGIC);
-    out.u32_le(FORMAT_VERSION);
-    out.u8(KIND_SHARED);
+    let meta_hint = 2 * MAX_VARINT_LEN + t.workload.len();
+    let ivs_hint = MAX_VARINT_LEN + t.intervals.iter().map(interval_size_hint).sum::<usize>();
+    let fin_hint = 2 * MAX_VARINT_LEN + t.final_stats.len() * STATS_SIZE_HINT;
+    let mut out = header(KIND_SHARED, 3 * SECTION_OVERHEAD + meta_hint + ivs_hint + fin_hint);
 
-    let mut meta = Writer::new();
-    meta.varint(t.cores as u64);
-    meta.str(&t.workload);
-    write_section(&mut out, SEC_META, meta);
+    write_section(&mut out, SEC_META, meta_hint, |meta| {
+        meta.varint(t.cores as u64);
+        meta.str(&t.workload);
+    });
 
-    let mut ivs = Writer::new();
-    ivs.varint(t.intervals.len() as u64);
-    let mut prev = 0u64;
-    for iv in &t.intervals {
-        ivs.varint(iv.events.len() as u64);
-        for ev in &iv.events {
-            encode_event(&mut ivs, ev, &mut prev);
+    write_section(&mut out, SEC_INTERVALS, ivs_hint, |ivs| {
+        ivs.varint(t.intervals.len() as u64);
+        let mut prev = 0u64;
+        for iv in &t.intervals {
+            ivs.varint(iv.events.len() as u64);
+            for ev in &iv.events {
+                encode_event(ivs, ev, &mut prev);
+            }
+            ivs.varint(iv.boundaries.len() as u64);
+            for b in &iv.boundaries {
+                encode_boundary(ivs, b);
+            }
         }
-        ivs.varint(iv.boundaries.len() as u64);
-        for b in &iv.boundaries {
-            encode_boundary(&mut ivs, b);
-        }
-    }
-    write_section(&mut out, SEC_INTERVALS, ivs);
+    });
 
-    let mut fin = Writer::new();
-    fin.varint(t.cycles);
-    fin.varint(t.final_stats.len() as u64);
-    for s in &t.final_stats {
-        encode_stats(&mut fin, s);
-    }
-    write_section(&mut out, SEC_FINAL, fin);
+    write_section(&mut out, SEC_FINAL, fin_hint, |fin| {
+        fin.varint(t.cycles);
+        fin.varint(t.final_stats.len() as u64);
+        for s in &t.final_stats {
+            encode_stats(fin, s);
+        }
+    });
 
     out.into_bytes()
 }
 
 /// Encode a private-mode trace to bytes.
 pub fn encode_private(t: &PrivateTrace) -> Vec<u8> {
-    let mut out = Writer::new();
-    out.bytes(MAGIC);
-    out.u32_le(FORMAT_VERSION);
-    out.u8(KIND_PRIVATE);
+    let meta_hint = 2 * MAX_VARINT_LEN + t.bench.len();
+    let cks_hint =
+        MAX_VARINT_LEN + (t.checkpoints.len() + 1) * (3 * MAX_VARINT_LEN + STATS_SIZE_HINT);
+    let mut out = header(KIND_PRIVATE, 2 * SECTION_OVERHEAD + meta_hint + cks_hint);
 
-    let mut meta = Writer::new();
-    meta.str(&t.bench);
-    meta.varint(t.base);
-    write_section(&mut out, SEC_META, meta);
+    write_section(&mut out, SEC_META, meta_hint, |meta| {
+        meta.str(&t.bench);
+        meta.varint(t.base);
+    });
 
-    let mut cks = Writer::new();
-    cks.varint(t.checkpoints.len() as u64);
-    for c in &t.checkpoints {
-        cks.varint(c.instrs);
-        cks.varint(c.cycle);
-        encode_stats(&mut cks, &c.stats);
-        cks.varint(c.cpl);
-    }
-    encode_stats(&mut cks, &t.total);
-    write_section(&mut out, SEC_CHECKPOINTS, cks);
+    write_section(&mut out, SEC_CHECKPOINTS, cks_hint, |cks| {
+        cks.varint(t.checkpoints.len() as u64);
+        for c in &t.checkpoints {
+            cks.varint(c.instrs);
+            cks.varint(c.cycle);
+            encode_stats(cks, &c.stats);
+            cks.varint(c.cpl);
+        }
+        encode_stats(cks, &t.total);
+    });
 
     out.into_bytes()
 }
@@ -561,15 +607,13 @@ fn decode_estimator_state(r: &mut Reader<'_>) -> Result<EstimatorState, TraceErr
 
 /// Payload of one STATE section: the boundary index and the
 /// per-technique snapshots captured there.
-fn encode_checkpoint_payload(c: &StateCheckpoint) -> Writer {
-    let mut w = Writer::new();
+fn encode_checkpoint_payload(w: &mut Writer, c: &StateCheckpoint) {
     w.varint(c.at);
     w.varint(c.states.len() as u64);
     for (id, state) in &c.states {
         w.str(id);
-        encode_estimator_state(&mut w, state);
+        encode_estimator_state(w, state);
     }
-    w
 }
 
 fn decode_checkpoint_payload(p: &mut Reader<'_>) -> Result<StateCheckpoint, TraceError> {
@@ -588,20 +632,18 @@ fn decode_checkpoint_payload(p: &mut Reader<'_>) -> Result<StateCheckpoint, Trac
 /// section so a single corrupt snapshot costs one restore point, not the
 /// whole file (see [`decode_checkpoints_salvage`]).
 pub fn encode_checkpoints(f: &CheckpointFile) -> Vec<u8> {
-    let mut out = Writer::new();
-    out.bytes(MAGIC);
-    out.u32_le(FORMAT_VERSION);
-    out.u8(KIND_STATE);
-
-    let mut meta = Writer::new();
-    meta.str(&f.workload);
-    meta.varint(f.cores as u64);
-    meta.varint(f.intervals);
-    meta.varint(f.checkpoints.len() as u64);
-    write_section(&mut out, SEC_META, meta);
-
+    // Snapshots are a few KB each: each STATE payload is encoded in place
+    // and shifted once past its length prefix.
+    let meta_hint = 4 * MAX_VARINT_LEN + f.workload.len();
+    let mut out = header(KIND_STATE, SECTION_OVERHEAD + meta_hint);
+    write_section(&mut out, SEC_META, meta_hint, |meta| {
+        meta.str(&f.workload);
+        meta.varint(f.cores as u64);
+        meta.varint(f.intervals);
+        meta.varint(f.checkpoints.len() as u64);
+    });
     for c in &f.checkpoints {
-        write_section(&mut out, SEC_STATE, encode_checkpoint_payload(c));
+        write_section(&mut out, SEC_STATE, 0, |w| encode_checkpoint_payload(w, c));
     }
     out.into_bytes()
 }
@@ -669,7 +711,8 @@ pub fn decode_shared(bytes: &[u8]) -> Result<SharedTrace, TraceError> {
 
     let mut ivs = read_section(&mut r, SEC_INTERVALS, "INTERVALS")?;
     let n_intervals = ivs.varint()? as usize;
-    let mut intervals = Vec::with_capacity(n_intervals.min(1 << 20));
+    // An interval takes at least its two count varints.
+    let mut intervals = Vec::with_capacity(n_intervals.min(ivs.remaining() / 2).min(1 << 20));
     let mut prev = 0u64;
     // Per-core committed-instruction watermark: boundary windows must be
     // non-decreasing (gaps are fine — not every interval reports every
@@ -677,10 +720,7 @@ pub fn decode_shared(bytes: &[u8]) -> Result<SharedTrace, TraceError> {
     let mut instr_watermark = vec![0u64; cores];
     for _ in 0..n_intervals {
         let n_events = ivs.varint()? as usize;
-        let mut events = Vec::with_capacity(n_events.min(1 << 22));
-        for _ in 0..n_events {
-            events.push(decode_event(&mut ivs, &mut prev)?);
-        }
+        let events = decode_events(&mut ivs, n_events, &mut prev)?;
         let n_bounds = ivs.varint()? as usize;
         // At most one boundary per core: more would hand replay an
         // out-of-range core index.
@@ -922,32 +962,37 @@ mod tests {
         let t = sample_shared();
         for iv in &t.intervals {
             let bytes = encode_interval_payload(iv);
-            let back = decode_interval_payload(&bytes, t.cores).expect("decodes");
+            let back = decode_interval_payload(&bytes, t.cores, 1 << 20).expect("decodes");
             assert_eq!(&back, iv);
         }
         // Boundary-count and window sanity are enforced.
         let iv = &t.intervals[0];
         let bytes = encode_interval_payload(iv);
         assert_eq!(
-            decode_interval_payload(&bytes, 1),
+            decode_interval_payload(&bytes, 1, 1 << 20),
             Err(TraceError::BadSection { section: "INTERVAL" }),
             "more boundaries than cores must be rejected"
         );
         let mut bad = iv.clone();
         bad.boundaries[0].instr_start = bad.boundaries[0].instr_end + 1;
         assert_eq!(
-            decode_interval_payload(&encode_interval_payload(&bad), 2),
+            decode_interval_payload(&encode_interval_payload(&bad), 2, 1 << 20),
             Err(TraceError::BadSection { section: "INTERVAL" }),
             "a backwards instruction window must be rejected"
         );
         let mut trailing = encode_interval_payload(iv);
         trailing.push(0);
-        assert!(decode_interval_payload(&trailing, 2).is_err(), "trailing bytes rejected");
+        assert!(decode_interval_payload(&trailing, 2, 1 << 20).is_err(), "trailing bytes rejected");
+        assert_eq!(
+            decode_interval_payload(&bytes, 2, iv.events.len() - 1),
+            Err(TraceError::BadSection { section: "INTERVAL" }),
+            "more events than the bound must be rejected"
+        );
+        assert_eq!(decode_interval_payload(&bytes, 2, iv.events.len()).as_ref(), Ok(iv));
     }
 
-    #[test]
-    fn private_trace_round_trips_exactly() {
-        let t = PrivateTrace {
+    fn sample_private() -> PrivateTrace {
+        PrivateTrace {
             bench: "ammp".to_string(),
             base: 1 << 36,
             checkpoints: (0..5)
@@ -959,7 +1004,12 @@ mod tests {
                 })
                 .collect(),
             total: sample_stats(77),
-        };
+        }
+    }
+
+    #[test]
+    fn private_trace_round_trips_exactly() {
+        let t = sample_private();
         let bytes = encode_private(&t);
         assert_eq!(decode_private(&bytes).expect("decodes"), t);
     }
@@ -1200,6 +1250,32 @@ mod tests {
         // The corrupt checkpoint was at=2: a segment starting at interval
         // 3 now degrades to the earlier good restore point at=1.
         assert_eq!(got.nearest_at_or_before(3).unwrap().at, 1);
+    }
+
+    fn fnv1a(bytes: &[u8]) -> u64 {
+        bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+            (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn encoders_emit_the_pinned_bytes() {
+        // FNV-1a digests of format-version-1 output: cache entries and
+        // the wire depend on every byte, so any encoder change must
+        // reproduce them exactly (or bump FORMAT_VERSION).
+        let t = sample_shared();
+        assert_eq!(fnv1a(&encode_shared(&t)), 0x14cc_7536_3238_aafb, "encode_shared");
+        assert_eq!(fnv1a(&encode_private(&sample_private())), 0xcc3a_510b_1370_19cc);
+        assert_eq!(fnv1a(&encode_checkpoints(&sample_checkpoints())), 0x53fd_fd32_df2e_d06e);
+        let pins = [
+            (0x96f9_754c_aa82_de5f, 0xe4fc_6101_be0f_2a14),
+            (0x1379_0a3b_c7c8_2f1b, 0x1159_43c3_89eb_6789),
+        ];
+        for (iv, (payload_pin, frame_pin)) in t.intervals.iter().zip(pins) {
+            let payload = encode_interval_payload(iv);
+            assert_eq!(fnv1a(&payload), payload_pin, "encode_interval_payload");
+            assert_eq!(fnv1a(&crate::frame::encode_frame(2, &payload)), frame_pin, "encode_frame");
+        }
     }
 
     #[test]

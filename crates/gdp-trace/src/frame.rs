@@ -23,7 +23,7 @@
 //! consumed eagerly, so the buffer never holds more than one incomplete
 //! frame (at most `1 + 10 + max_payload + 4` bytes).
 
-use crate::codec::{Crc32, Reader, TraceError, Writer};
+use crate::codec::{Crc32, Reader, TraceError, Writer, MAX_VARINT_LEN};
 
 /// Default cap on a frame's declared payload length (16 MiB). A frame
 /// is one protocol message — orders of magnitude below this — so the
@@ -43,7 +43,7 @@ pub struct Frame {
 /// Encode one frame: tag, payload length varint, payload, then the
 /// CRC-32 of tag ‖ payload.
 pub fn encode_frame(tag: u8, payload: &[u8]) -> Vec<u8> {
-    let mut w = Writer::new();
+    let mut w = Writer::with_capacity(1 + MAX_VARINT_LEN + payload.len() + 4);
     w.u8(tag);
     w.varint(payload.len() as u64);
     w.bytes(payload);
